@@ -1,4 +1,5 @@
-//! Minimal, dependency-free JSON rendering of a [`Report`].
+//! Deterministic JSON rendering of a [`Report`], escaped through the
+//! workspace codec ([`cta_obs::json`]).
 //!
 //! The output is deterministic: lints appear in registry (code) order and
 //! diagnostics in the report's canonical (subject, code, message) order,
@@ -6,23 +7,7 @@
 //! relies on when diffing analyzer output across runs.
 
 use crate::diag::{Report, LINTS};
-
-/// Escapes a string for a JSON string literal.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
+use cta_obs::json::escape;
 
 /// Renders the full report as a JSON document (version, lint registry,
 /// sorted diagnostics, counts).
@@ -65,12 +50,6 @@ pub fn render_json(report: &Report) -> String {
 mod tests {
     use super::*;
     use crate::diag::{AGENT_COVERAGE, PARTITION_COVERAGE};
-
-    #[test]
-    fn escaping() {
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape("\u{1}"), "\\u0001");
-    }
 
     #[test]
     fn json_is_deterministic_across_emission_orders() {

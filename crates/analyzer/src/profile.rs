@@ -2,6 +2,7 @@
 //! audit and the IR lints share, computed by walking warp programs with
 //! [`gpu_sim::walk`] — no timing model involved.
 
+use cta_clustering::STREAMING_MIN_ACCESSES;
 use gpu_sim::{walk, ArrayTag, CacheOp, FxHashMap, FxHashSet, GpuConfig, KernelSpec, Op};
 use locality::{classify, Category, Signature, StaticFeed, TagReuseProfiler, TagSummary};
 
@@ -53,9 +54,6 @@ const STREAM_WORD_REUSE_MAX: f64 = 0.02;
 /// `CL021` firing threshold (0.25) so selection and lint cannot flap on
 /// borderline tags.
 const STREAM_LINE_REUSE_MAX: f64 = 0.10;
-
-/// Minimum word accesses before a tag is considered at all.
-const STREAM_MIN_ACCESSES: u64 = 64;
 
 impl StaticProfile {
     /// Walks `kernel`'s warp programs under `cfg`'s geometry and builds
@@ -138,6 +136,16 @@ impl StaticProfile {
         &self.written_tags
     }
 
+    /// The word-reuse bypass set — tags with at least
+    /// [`STREAMING_MIN_ACCESSES`] word accesses and under 2% word reuse —
+    /// read off this profile's walk. Equal to
+    /// [`cta_clustering::Framework::streaming_tags_static`], which feeds
+    /// the same profiler over the same idealized-RR walk, so a caller
+    /// holding a profile needs no second walk for it.
+    pub fn word_streaming_tags(&self) -> Vec<ArrayTag> {
+        self.tags.streaming_tags(STREAMING_MIN_ACCESSES)
+    }
+
     /// Statically derived bypass candidates: heavily-accessed tags with
     /// neither word reuse (under 2%) nor line reuse (under 10%). The
     /// double criterion keeps cache-line-sourced reuse — invisible to the
@@ -149,7 +157,7 @@ impl StaticProfile {
             .summaries()
             .into_iter()
             .filter(|(t, s)| {
-                s.accesses >= STREAM_MIN_ACCESSES
+                s.accesses >= STREAMING_MIN_ACCESSES
                     && s.reuse_rate() < STREAM_WORD_REUSE_MAX
                     && self.tag_line_stats(*t).line_reuse_share() < STREAM_LINE_REUSE_MAX
             })

@@ -31,6 +31,7 @@
 
 use cluster_bench::matrix::{drive_matrix, MatrixTotals};
 use cta_clustering::ClusterError;
+use cta_obs::{parse_json, Json};
 use gpu_sim::GpuConfig;
 use std::time::Instant;
 
@@ -251,7 +252,11 @@ fn main() -> Result<(), ClusterError> {
 }
 
 /// Compares the fresh run against a committed `sim-core-bench/v1`
-/// document and reports each criterion on stderr. Returns `false` (and
+/// document and reports each criterion on stderr. The document is
+/// parsed and every value is read from its own path (`mode`, `runs`,
+/// `engine.skip_ratio`, `work_model.<key>`, ...), so a same-named key in
+/// another section can never stand in for the pinned one; a missing or
+/// mistyped field is an error. Returns `false` (and
 /// logs `FAIL` lines) on any regression:
 ///
 /// * the committed artifact itself must be violation-free and of the
@@ -281,15 +286,26 @@ fn diff_against_committed(
     skip_ratio: f64,
     work: &gpu_sim::WorkModel,
 ) -> Result<bool, ClusterError> {
-    let field = |key: &str| {
-        json_number(committed, key)
-            .ok_or_else(|| ClusterError::harness(format!("{path}: missing \"{key}\"")))
+    let doc = parse_json(committed)
+        .map_err(|e| ClusterError::harness(format!("{path}: not JSON: {e}")))?;
+    let bad = |keys: &[&str], what: &str| {
+        ClusterError::harness(format!("{path}: {} missing or not {what}", keys.join(".")))
     };
-    let committed_mode = json_string(committed, "mode")
-        .ok_or_else(|| ClusterError::harness(format!("{path}: missing \"mode\"")))?;
-    let committed_runs = field("runs")? as u64;
-    let committed_violations = field("conservation_violations")? as u64;
-    let committed_skip = field("skip_ratio")?;
+    let count = |keys: &[&str]| {
+        doc.at(keys)
+            .and_then(Json::as_u64)
+            .ok_or_else(|| bad(keys, "an unsigned integer"))
+    };
+    let committed_mode = doc
+        .at(&["mode"])
+        .and_then(Json::as_str)
+        .ok_or_else(|| bad(&["mode"], "a string"))?;
+    let committed_runs = count(&["runs"])?;
+    let committed_violations = count(&["conservation_violations"])?;
+    let committed_skip = doc
+        .at(&["engine", "skip_ratio"])
+        .and_then(Json::as_f64)
+        .ok_or_else(|| bad(&["engine", "skip_ratio"], "a number"))?;
     let mut ok = true;
     let mut report = |pass: bool, msg: String| {
         eprintln!(
@@ -321,22 +337,8 @@ fn diff_against_committed(
         ),
     );
     // Work-model counters: deterministic event counts, pinned exactly.
-    let fresh = [
-        ("coalesce_calls", work.coalesce_calls),
-        ("coalesce_contiguous", work.coalesce_contiguous),
-        ("coalesce_sorted", work.coalesce_sorted),
-        ("coalesce_divergent", work.coalesce_divergent),
-        ("l1_tag_chunks", work.l1.tag_chunks),
-        ("l1_victim_ways", work.l1.victim_ways),
-        ("l1_set_conflicts", work.l1.set_conflicts),
-        ("l2_tag_chunks", work.l2.tag_chunks),
-        ("l2_victim_ways", work.l2.victim_ways),
-        ("l2_set_conflicts", work.l2.set_conflicts),
-        ("ready_heap_pushes", work.ready_heap_pushes),
-        ("sm_heap_pushes", work.sm_heap_pushes),
-    ];
-    for (key, value) in fresh {
-        let pinned = field(key)? as u64;
+    for (key, value) in work_pins(work) {
+        let pinned = count(&["work_model", key])?;
         report(
             value == pinned,
             format!("work_model {key} {value} == committed {pinned}"),
@@ -352,23 +354,79 @@ fn diff_against_committed(
     Ok(ok)
 }
 
-/// First numeric value following `"key":` in a flat JSON document.
-/// Enough for the self-emitted `sim-core-bench/v1` format; not a general
-/// JSON parser (the workspace deliberately has no serde dependency).
-fn json_number(doc: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let rest = doc[doc.find(&pat)? + pat.len()..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+/// The `work_model` counters `--check` pins, by artifact key.
+fn work_pins(work: &gpu_sim::WorkModel) -> [(&'static str, u64); 12] {
+    [
+        ("coalesce_calls", work.coalesce_calls),
+        ("coalesce_contiguous", work.coalesce_contiguous),
+        ("coalesce_sorted", work.coalesce_sorted),
+        ("coalesce_divergent", work.coalesce_divergent),
+        ("l1_tag_chunks", work.l1.tag_chunks),
+        ("l1_victim_ways", work.l1.victim_ways),
+        ("l1_set_conflicts", work.l1.set_conflicts),
+        ("l2_tag_chunks", work.l2.tag_chunks),
+        ("l2_victim_ways", work.l2.victim_ways),
+        ("l2_set_conflicts", work.l2.set_conflicts),
+        ("ready_heap_pushes", work.ready_heap_pushes),
+        ("sm_heap_pushes", work.sm_heap_pushes),
+    ]
 }
 
-/// First string value following `"key":` in a flat JSON document.
-fn json_string(doc: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":");
-    let rest = doc[doc.find(&pat)? + pat.len()..]
-        .trim_start()
-        .strip_prefix('"')?;
-    Some(rest[..rest.find('"')?].to_string())
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gpu_sim::WorkModel;
+
+    /// A committed `reduced` artifact (3 runs, skip ratio 0.9) pinning
+    /// every `work_model` counter at 0 except `l2_tag_chunks`, with
+    /// `engine_extra` spliced into the `engine` section and the `drop`
+    /// counter left out.
+    fn fixture(engine_extra: &str, l2_chunks: u64, drop: &str) -> String {
+        let work_model: Vec<String> = work_pins(&WorkModel::default())
+            .into_iter()
+            .filter(|(k, _)| *k != drop)
+            .map(|(k, _)| {
+                let v = if k == "l2_tag_chunks" { l2_chunks } else { 0 };
+                format!("\"{k}\": {v}")
+            })
+            .collect();
+        format!(
+            "{{\"format\": \"sim-core-bench/v1\", \"mode\": \"reduced\", \"runs\": 3, \
+             \"conservation_violations\": 0, \
+             \"engine\": {{{engine_extra}\"skip_ratio\": 0.9}}, \
+             \"work_model\": {{{}}}}}",
+            work_model.join(", ")
+        )
+    }
+
+    /// Checks `doc` against a fresh run whose counters are all 0.
+    fn check(doc: &str) -> Result<bool, ClusterError> {
+        diff_against_committed(doc, "fixture", "reduced", 3, 0, 0.9, &WorkModel::default())
+    }
+
+    #[test]
+    fn exact_pins_pass() {
+        assert!(check(&fixture("", 0, "")).unwrap());
+    }
+
+    #[test]
+    fn decoy_key_in_an_earlier_section_cannot_mask_a_regression() {
+        // A substring search for `"l2_tag_chunks":` finds the engine
+        // section's decoy (equal to the fresh count) first; the pinned
+        // value under `work_model` differs and must fail the gate.
+        let doc = fixture("\"l2_tag_chunks\": 0, ", 7, "");
+        let decoy = doc.find("\"l2_tag_chunks\": 0").unwrap();
+        assert!(decoy < doc.find("\"l2_tag_chunks\": 7").unwrap());
+        assert!(!check(&doc).unwrap());
+    }
+
+    #[test]
+    fn missing_work_model_counter_is_an_error() {
+        let doc = fixture("\"sm_heap_pushes\": 0, ", 0, "sm_heap_pushes");
+        let err = check(&doc).unwrap_err();
+        assert!(
+            err.to_string().contains("work_model.sm_heap_pushes"),
+            "{err}"
+        );
+    }
 }

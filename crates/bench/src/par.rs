@@ -125,7 +125,7 @@ where
 
 /// Runs the full evaluation matrix for the given GPUs across `threads`
 /// workers, producing exactly what mapping
-/// [`crate::evaluate_arch`] over `cfgs` produces.
+/// [`crate::evaluate_app`] over each preset's Table 2 suite produces.
 ///
 /// Two fan-out phases: phase A runs every simulation whose inputs are
 /// known up front (baseline, RD, CLU, and each throttle-sweep candidate,
@@ -266,26 +266,6 @@ fn run_plans(
                 .collect()
         })
         .collect())
-}
-
-/// Parallel counterpart of [`crate::evaluate_arch`].
-///
-/// # Errors
-///
-/// Propagates the first [`AppPlan::run`] failure.
-pub fn evaluate_arch_par(cfg: &GpuConfig, threads: usize) -> Result<ArchEvaluation, ClusterError> {
-    Ok(evaluate_matrix(std::slice::from_ref(cfg), threads)?
-        .pop()
-        .expect("one arch in, one evaluation out"))
-}
-
-/// Parallel counterpart of [`crate::evaluate_all`].
-///
-/// # Errors
-///
-/// Propagates the first [`AppPlan::run`] failure.
-pub fn evaluate_all_par(threads: usize) -> Result<Vec<ArchEvaluation>, ClusterError> {
-    evaluate_matrix(&gpu_sim::arch::all_presets(), threads)
 }
 
 /// Tunes glibc's allocator for the harness's allocation pattern.

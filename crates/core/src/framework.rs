@@ -22,8 +22,10 @@ use locality::{
 use gpu_sim::{occupancy, AccessEvent, ArrayTag, GpuConfig, KernelSpec, Simulation, TraceSink};
 
 /// Minimum word accesses before an array's reuse rate is trusted enough
-/// to call it streaming (§4.3-(II) bypass candidate selection).
-const STREAMING_MIN_ACCESSES: u64 = 64;
+/// to call it streaming (§4.3-(II) bypass candidate selection). Shared
+/// by every bypass selector: the traced probe, the static walk, and the
+/// analyzer's `StaticProfile`.
+pub const STREAMING_MIN_ACCESSES: u64 = 64;
 
 /// Clamps a requested `ACTIVE_AGENTS` into the valid throttle range
 /// `1..=max_agents`.
@@ -211,29 +213,10 @@ impl Framework {
         })
     }
 
-    /// Runs only the bypass probe of the Figure 11 flow: one traced
-    /// baseline with the per-tag reuse profiler, returning the streaming
-    /// arrays worth routing around the L1. Exactly the
+    /// The bypass probe of the Figure 11 flow — exactly the
     /// [`Analysis::streaming_tags`] field [`analyze`](Self::analyze)
-    /// would produce (the tag profiler observes the same deterministic
-    /// stream), at one simulation instead of three and one sink instead
-    /// of three — for callers like the benchmark harness that derive the
-    /// axis and category elsewhere.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulation failures as [`ClusterError::Sim`].
-    pub fn streaming_tags<K>(&self, kernel: &K) -> Result<Vec<ArrayTag>, ClusterError>
-    where
-        K: KernelSpec,
-    {
-        let mut tags = TagReuseProfiler::new();
-        Simulation::new(self.cfg.clone(), kernel).run_traced(&mut tags)?;
-        Ok(tags.streaming_tags(STREAMING_MIN_ACCESSES))
-    }
-
-    /// [`streaming_tags`](Self::streaming_tags) computed by statically
-    /// walking the warp programs instead of simulating them.
+    /// would produce — computed by statically walking the warp programs
+    /// instead of simulating them.
     ///
     /// Produces the *same* tag set as the traced probe: the selection
     /// reads only each tag's total word accesses and reuse count, and
@@ -440,6 +423,17 @@ mod tests {
         assert!(plan.bypass.is_empty());
     }
 
+    /// The traced bypass probe: one baseline simulation feeding the
+    /// per-tag reuse profiler — the oracle `streaming_tags_static`
+    /// replaces.
+    fn traced_streaming_tags<K: KernelSpec>(fw: &Framework, kernel: &K) -> Vec<ArrayTag> {
+        let mut tags = TagReuseProfiler::new();
+        Simulation::new(fw.gpu().clone(), kernel)
+            .run_traced(&mut tags)
+            .unwrap();
+        tags.streaming_tags(STREAMING_MIN_ACCESSES)
+    }
+
     #[test]
     fn probe_equivalence() {
         // The static walk must select exactly the tags the traced probe
@@ -449,12 +443,12 @@ mod tests {
             for (name, dynamic, stat) in [
                 (
                     "row-shared",
-                    fw.streaming_tags(&RowShared).unwrap(),
+                    traced_streaming_tags(&fw, &RowShared),
                     fw.streaming_tags_static(&RowShared),
                 ),
                 (
                     "stream",
-                    fw.streaming_tags(&Stream).unwrap(),
+                    traced_streaming_tags(&fw, &Stream),
                     fw.streaming_tags_static(&Stream),
                 ),
             ] {

@@ -51,13 +51,6 @@ pub struct ExtraApp {
     seed: u64,
 }
 
-impl ExtraApp {
-    /// Table 2-style metadata for this app.
-    pub fn workload_info(&self) -> WorkloadInfo {
-        self.info
-    }
-}
-
 impl KernelSpec for ExtraApp {
     fn name(&self) -> String {
         format!("{}({}x{})", self.info.abbr, self.grid.x, self.grid.y)

@@ -343,18 +343,6 @@ impl AccessSummary {
         self.lines.values().filter(|r| r.read).count() as u64
     }
 
-    /// Distinct lines touched by any access (read or written).
-    pub fn working_set(&self) -> u64 {
-        self.lines.len() as u64
-    }
-
-    /// The LRU stack-distance histogram of the walked read stream,
-    /// sorted by distance. Descriptive: the walk's canonical
-    /// interleaving, not a bound.
-    pub fn distance_histogram(&self) -> Vec<(u64, u64)> {
-        self.distance.histogram()
-    }
-
     /// Mean stack distance over all walked reuses (`None` without
     /// reuse).
     pub fn mean_distance(&self) -> Option<f64> {
@@ -704,15 +692,6 @@ impl SetConflictModel {
         self.footprint.iter().copied().max().unwrap_or(0)
     }
 
-    /// Mean footprint over occupied sets (`0.0` when nothing installs).
-    pub fn mean_occupied_footprint(&self) -> f64 {
-        let occ = self.occupied_sets();
-        if occ == 0 {
-            return 0.0;
-        }
-        self.footprint.iter().sum::<u64>() as f64 / occ as f64
-    }
-
     /// Camping skew: the largest per-set footprint relative to a uniform
     /// spread of the whole footprint over *all* sets (`0.0` when nothing
     /// installs). Near `1.0` means the decoder spreads the working set
@@ -771,7 +750,6 @@ mod tests {
         // Per CTA: 1 shared line + 3 touches of its own line.
         assert_eq!(s.reads(), 4 * 4);
         assert_eq!(s.read_working_set(), 5);
-        assert_eq!(s.working_set(), 5);
         assert_eq!(s.stores(), 0);
         assert!(!s.geometry_irrelevant());
     }

@@ -7,24 +7,9 @@
 //! and thread lanes, so it is *not* deterministic across runs — it is
 //! the flamegraph view, not the golden-file view.
 
+use crate::json::escape;
 use crate::jsonl::TIME_PREFIX;
 use crate::snapshot::Snapshot;
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Renders the snapshot's trace as Chrome `trace_event` JSON.
 ///
@@ -76,7 +61,7 @@ pub fn render_chrome_trace(snap: &Snapshot, process: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::jsonl::{parse_json, Json};
+    use crate::json::{parse_json, Json};
     use crate::Obs;
 
     #[test]

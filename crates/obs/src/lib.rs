@@ -44,13 +44,15 @@
 
 mod chrome;
 mod hist;
+pub mod json;
 mod jsonl;
 mod recorder;
 mod snapshot;
 
 pub use chrome::render_chrome_trace;
 pub use hist::{bucket_of, bucket_range, Hist};
-pub use jsonl::{parse_json, render_jsonl, validate, Json, JsonlSummary, SCHEMA, TIME_PREFIX};
+pub use json::{parse_json, Json};
+pub use jsonl::{render_jsonl, validate, JsonlSummary, SCHEMA, TIME_PREFIX};
 pub use recorder::{Obs, SpanEvent, SpanGuard, SpanKind, DEFAULT_RING_CAPACITY};
 pub use snapshot::{ObsError, Snapshot, SpanAgg, TraceSpan};
 

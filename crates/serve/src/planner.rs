@@ -5,7 +5,8 @@
 //! 1. Resolve the GPU preset and materialize the kernel (suite workload
 //!    for `"app"`, a [`DescribedKernel`] for structural descriptions).
 //! 2. Classify the locality source from the statically enumerated
-//!    address streams ([`StaticProfile`]) and find the streaming tags.
+//!    address streams ([`StaticProfile`]) and read the streaming tags
+//!    off the same walk.
 //! 3. Assemble the clustering plan the way `Framework::plan` does
 //!    (Figure 5's decision table), with the throttle seeded from the
 //!    Table 2 optimum for named apps.
@@ -121,14 +122,15 @@ impl PlanBody {
     /// newline). Field order and float formatting are part of the
     /// protocol, pinned by the golden tests.
     pub fn render(&self, id: &str) -> String {
-        use crate::proto::{json_escape, PROTO};
+        use crate::proto::PROTO;
+        use cta_obs::json::escape;
         let mut out = format!(
             "{{\"proto\":\"{PROTO}\",\"id\":\"{}\",\"gpu\":\"{}\"",
-            json_escape(id),
-            json_escape(&self.gpu)
+            escape(id),
+            escape(&self.gpu)
         );
         if let Some(app) = &self.app {
-            out.push_str(&format!(",\"app\":\"{}\"", json_escape(app)));
+            out.push_str(&format!(",\"app\":\"{}\"", escape(app)));
         }
         out.push_str(&format!(
             ",\"category\":\"{}\",\"exploit\":{},\"axis\":\"{}\"",
@@ -193,7 +195,7 @@ fn plan_kernel<K: KernelSpec + ?Sized>(
         exploit_locality: exploit,
         active_agents: opt_agents.map(|n| clamp_active_agents(n, max_agents)),
         bypass: if exploit {
-            fw.streaming_tags_static(kernel)
+            profile.word_streaming_tags()
         } else {
             Vec::new()
         },
@@ -339,6 +341,37 @@ mod tests {
         ))
         .unwrap_err();
         assert_eq!(e.code, "bad-kernel");
+    }
+
+    fn assert_same_bypass<K: KernelSpec + ?Sized>(kernel: &K, cfg: &GpuConfig, what: &str) {
+        assert_eq!(
+            StaticProfile::collect(kernel, cfg).word_streaming_tags(),
+            Framework::new(cfg.clone()).streaming_tags_static(kernel),
+            "{what} on {}",
+            cfg.name
+        );
+    }
+
+    #[test]
+    fn profile_bypass_set_equals_the_static_probe() {
+        // `plan_kernel` reads the bypass set off the profile's walk
+        // instead of walking every warp program a second time.
+        let gtx570 = arch::gtx570();
+        let suite = gpu_kernels::suite::table2_suite(gtx570.arch);
+        assert_eq!(suite.len(), 23);
+        for w in &suite {
+            assert_same_bypass(w.as_ref(), &gtx570, w.info().abbr);
+        }
+        let (lines, distinct) = crate::bench::mix(4, &[], &[]);
+        assert_eq!(distinct, 4, "the structural band of the bench mix");
+        for line in &lines {
+            let r = req(line);
+            let KernelRef::Raw(raw) = r.kernel else {
+                panic!("structural kernel expected: {line}");
+            };
+            let cfg = resolve_gpu(&r.gpu).expect("mix presets resolve");
+            assert_same_bypass(&DescribedKernel::new(raw), &cfg, line);
+        }
     }
 
     #[test]

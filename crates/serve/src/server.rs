@@ -273,7 +273,7 @@ impl Server {
                     let bye = format!(
                         "{{\"proto\":\"{}\",\"id\":\"{}\",\"ok\":\"shutting-down\"}}",
                         crate::proto::PROTO,
-                        crate::proto::json_escape(&id)
+                        cta_obs::json::escape(&id)
                     );
                     let _ = done_tx.send((seq, bye));
                     break;
